@@ -41,23 +41,6 @@ pub trait Program: Send + Sync {
     /// Complete, deterministic byte image of the process state.
     fn snapshot(&self) -> Vec<u8>;
 
-    /// Snapshot directly into a content-addressed page store: the
-    /// returned [`SnapshotImage`] holds page handles, so every page whose
-    /// content is already interned — by a previous checkpoint, another
-    /// process, or a speculation branch — costs a refcount bump, not an
-    /// allocation. The default pages the [`Program::snapshot`] bytes;
-    /// programs with naturally chunked state may override it to skip the
-    /// intermediate `Vec` entirely.
-    ///
-    /// [`SnapshotImage`]: fixd_store::SnapshotImage
-    fn snapshot_into(
-        &self,
-        store: &fixd_store::PageStore,
-        page_size: usize,
-    ) -> fixd_store::SnapshotImage {
-        fixd_store::SnapshotImage::paged(store, &self.snapshot(), page_size)
-    }
-
     /// Restore from a byte image produced by [`Program::snapshot`].
     fn restore(&mut self, bytes: &[u8]);
 

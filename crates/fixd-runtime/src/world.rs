@@ -919,14 +919,24 @@ impl World {
     /// Take a full per-process checkpoint whose state pages straight
     /// into `store`: unchanged pages — relative to *anything* already
     /// interned, not just this process's previous checkpoint — cost a
-    /// refcount, not an allocation. This is the Time Machine's path.
+    /// refcount, not an allocation. Pages equal to the page at the same
+    /// index of `base` (the process's previous image) are shared without
+    /// being hashed at all. This is the Time Machine's path.
     pub fn checkpoint_process_in(
         &self,
         pid: Pid,
         store: &fixd_store::PageStore,
         page_size: usize,
+        base: Option<&fixd_store::PagedImage>,
     ) -> ProcCheckpoint {
-        self.checkpoint_with(pid, |p| p.snapshot_into(store, page_size))
+        self.checkpoint_with(pid, |p| {
+            fixd_store::SnapshotImage::Paged(fixd_store::PagedImage::from_bytes_over(
+                store,
+                &p.snapshot(),
+                page_size,
+                base,
+            ))
+        })
     }
 
     fn checkpoint_with(

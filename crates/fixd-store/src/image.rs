@@ -60,12 +60,37 @@ impl PagedImage {
 
     /// Page `bytes` into `store` with an explicit page size.
     pub fn from_bytes_with(store: &PageStore, bytes: &[u8], page_size: usize) -> Self {
+        Self::from_bytes_over(store, bytes, page_size, None)
+    }
+
+    /// Page `bytes` into `store`, comparing each page against the page
+    /// at the same index of `base` first — typically the previous
+    /// checkpoint of the same process. An equal page shares the base's
+    /// handle (a `memcmp` and a refcount bump); any other page is
+    /// interned by content as usual. Sharing counts exactly as an intern
+    /// hit, so keys, [`PageStats`] and the store's counters are the same
+    /// as for [`PagedImage::from_bytes_with`]. A base from another store
+    /// (or an empty one) is ignored.
+    pub fn from_bytes_over(
+        store: &PageStore,
+        bytes: &[u8],
+        page_size: usize,
+        base: Option<&PagedImage>,
+    ) -> Self {
         assert!(page_size > 0, "page size must be positive");
+        let base: &[PageHandle] = match base {
+            Some(b) if b.pages.first().is_some_and(|p| p.in_store(store)) => &b.pages,
+            _ => &[],
+        };
         let mut stats = PageStats::default();
         let pages = bytes
             .chunks(page_size)
-            .map(|c| {
-                let (h, fresh) = store.intern(c);
+            .enumerate()
+            .map(|(i, c)| {
+                let (h, fresh) = match base.get(i) {
+                    Some(same) if same.as_slice() == c => (store.share(same), false),
+                    _ => store.intern(c),
+                };
                 if fresh {
                     stats.fresh += 1;
                 } else {
@@ -192,11 +217,6 @@ impl SnapshotImage {
     /// Wrap owned bytes without paging them.
     pub fn inline(bytes: Vec<u8>) -> Self {
         SnapshotImage::Inline(bytes)
-    }
-
-    /// Page `bytes` straight into `store`.
-    pub fn paged(store: &PageStore, bytes: &[u8], page_size: usize) -> Self {
-        SnapshotImage::Paged(PagedImage::from_bytes_with(store, bytes, page_size))
     }
 
     /// Logical length in bytes.
@@ -452,7 +472,7 @@ mod tests {
         let store = PageStore::new();
         let bytes: Vec<u8> = (0..777).map(|i| (i % 251) as u8).collect();
         let inline = SnapshotImage::inline(bytes.clone());
-        let paged = SnapshotImage::paged(&store, &bytes, 256);
+        let paged = SnapshotImage::Paged(PagedImage::from_bytes(&store, &bytes));
         assert_eq!(inline, paged);
         assert_eq!(paged, bytes);
         assert_eq!(bytes, paged);

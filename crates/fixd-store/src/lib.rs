@@ -10,7 +10,10 @@
 //! checkpoints of one process* to *any two equal pages anywhere*:
 //!
 //! * consecutive checkpoints of one process share unchanged pages
-//!   (classic COW);
+//!   (classic COW): [`PagedImage::from_bytes_over`] first compares each
+//!   page with the page at the same index of the previous image and
+//!   shares its handle when equal — a `memcmp` and a refcount bump, no
+//!   hashing — and interns only the changed pages by content;
 //! * checkpoints of **different processes** running the same code over
 //!   similar state share pages (replicas, initial states);
 //! * **speculation branches** (cloned Time Machines) share everything
@@ -22,6 +25,10 @@
 //! to a page removes it from the store and the freed bytes are reported
 //! through [`StoreStats`] — so a garbage-collection pass can state how
 //! many bytes it *actually* returned, not how many entries it forgot.
+//!
+//! Sharing a base page counts exactly as an intern hit on it, so the
+//! page keys, [`PageStats`] and [`StoreStats`] of an image do not depend
+//! on whether it was paged over a base.
 //!
 //! [`PagedImage`] is the always-paged image the Time Machine stores;
 //! [`SnapshotImage`] is the checkpoint-facing wrapper that is either a

@@ -1,6 +1,7 @@
 //! The [`PageStore`]: interned, refcounted, content-addressed pages.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -48,9 +49,32 @@ struct Slot {
     refs: u64,
 }
 
+/// Pass-through hasher for the slot map: its keys are [`page_hash`]
+/// outputs (or probes of them), already avalanche-mixed, so hashing them
+/// again would only cost time.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this map; fold anything else anyway.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    slots: HashMap<u64, Slot>,
+    slots: HashMap<u64, Slot, BuildHasherDefault<KeyHasher>>,
     stats: StoreStats,
 }
 
@@ -135,6 +159,26 @@ impl PageStore {
         }
     }
 
+    /// Share `page` — a handle already in this store whose bytes are the
+    /// ones being interned — without hashing them again. Counts exactly
+    /// as an [`PageStore::intern`] hit on that content: one more
+    /// reference, one more `hits`, `page.len()` more `deduped_bytes`.
+    pub(crate) fn share(&self, page: &PageHandle) -> PageHandle {
+        debug_assert!(page.in_store(self), "shared page from another store");
+        let mut inner = self.inner.lock();
+        if let Some(slot) = inner.slots.get_mut(&page.key) {
+            slot.refs += 1;
+        }
+        inner.stats.hits += 1;
+        inner.stats.deduped_bytes += page.len() as u64;
+        drop(inner);
+        PageHandle {
+            store: Arc::clone(&self.inner),
+            key: page.key,
+            data: Arc::clone(&page.data),
+        }
+    }
+
     /// Bytes currently interned, each distinct page counted once — the
     /// resident footprint of everything referencing this store.
     pub fn unique_bytes(&self) -> usize {
@@ -189,6 +233,11 @@ impl PageHandle {
     /// True for the (unusual) zero-length page.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Is this page interned in `store`?
+    pub(crate) fn in_store(&self, store: &PageStore) -> bool {
+        Arc::ptr_eq(&self.store, &store.inner)
     }
 }
 

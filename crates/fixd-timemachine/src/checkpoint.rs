@@ -87,19 +87,20 @@ impl CheckpointStore {
         &self.pages
     }
 
-    /// Take a checkpoint of `pid`'s current state in `world`, interning
-    /// pages into the shared store (any page already present — from this
-    /// history, another process, or another branch — is reused without a
-    /// copy). Returns the new index.
+    /// Take a checkpoint of `pid`'s current state in `world`, paging it
+    /// over the latest checkpoint's image: a page equal to the one at the
+    /// same index there is shared after a `memcmp`, any other page is
+    /// interned by content (a page already present — from this history,
+    /// another process, or another branch — is reused without a copy).
+    /// After [`CheckpointStore::restore`] the latest checkpoint is the
+    /// restored one, which is exactly the world's state; a GC tombstone
+    /// holds no pages and simply yields a full intern. Returns the new
+    /// index.
     pub fn take(&mut self, world: &World, events_at: u64) -> u64 {
-        let pc = world.checkpoint_process_in(self.pid, &self.pages, self.page_size);
-        let image = match pc.state {
-            SnapshotImage::Paged(img) => img,
-            // Unreachable with checkpoint_process_in, but harmless: page
-            // inline bytes now.
-            SnapshotImage::Inline(bytes) => {
-                PagedImage::from_bytes_with(&self.pages, &bytes, self.page_size)
-            }
+        let base = self.checkpoints.last().map(|c| &c.image);
+        let pc = world.checkpoint_process_in(self.pid, &self.pages, self.page_size, base);
+        let SnapshotImage::Paged(image) = pc.state else {
+            unreachable!("checkpoint_process_in always pages the state")
         };
         let stats = image.build_stats();
         let index = self.checkpoints.len() as u64;
@@ -148,9 +149,13 @@ impl CheckpointStore {
 
     /// Restore the process in `world` to checkpoint `index`. Later
     /// checkpoints are discarded (they describe an undone future).
-    /// Returns the restored checkpoint's `events_at`.
+    /// Returns the restored checkpoint's `events_at`, or `None` (leaving
+    /// the world untouched) when `index` does not exist or was GC'd.
     pub fn restore(&mut self, world: &mut World, index: u64) -> Option<u64> {
-        let ck = self.checkpoints.get(index as usize)?;
+        if !self.is_live(index) {
+            return None;
+        }
+        let ck = &self.checkpoints[index as usize];
         world.restore_checkpoint(&ck.to_proc_checkpoint());
         let events_at = ck.events_at;
         self.checkpoints.truncate(index as usize + 1);
@@ -158,22 +163,14 @@ impl CheckpointStore {
     }
 
     /// Drop checkpoints with `index < keep_from` (garbage collection).
-    /// Indices of retained checkpoints are preserved by keeping a sparse
-    /// offset — implemented simply by replacing dropped entries' storage.
-    /// Returns the number of checkpoints dropped.
+    /// Indices cannot be renumbered — message metadata references them —
+    /// so a dropped checkpoint stays in place as a tombstone: its image
+    /// is emptied (releasing its page references) and `next_msg_id` is
+    /// set to `u64::MAX`. [`CheckpointStore::is_live`] reports tombstones
+    /// and [`CheckpointStore::restore`] of one returns `None`. Returns the
+    /// number of checkpoints newly dropped.
     pub fn gc_before(&mut self, keep_from: u64) -> usize {
-        // Keep indices stable: we can't renumber (message metadata
-        // references indices), so we drop page data by replacing the image
-        // with an empty one and marking the slot unusable via a tombstone
-        // approach: cheapest correct approach is to keep the entries but
-        // shrink their images. We instead retain entries >= keep_from and
-        // remember the offset.
         let drop_n = (keep_from as usize).min(self.checkpoints.len());
-        if drop_n == 0 {
-            return 0;
-        }
-        // Replace dropped checkpoints' images with empty ones; restore of
-        // a GC'd index returns None via the emptied marker.
         let mut dropped = 0;
         for ck in &mut self.checkpoints[..drop_n] {
             if !ck.image.is_empty() || ck.next_msg_id != u64::MAX {
@@ -339,6 +336,24 @@ mod tests {
         assert_eq!(store.get(3).unwrap().index, 3);
         // Second gc is a no-op.
         assert_eq!(store.gc_before(2), 0);
+    }
+
+    #[test]
+    fn restore_of_collected_checkpoint_is_refused() {
+        let mut w = world();
+        let mut store = CheckpointStore::new(Pid(1), 256);
+        for i in 0..3 {
+            store.take(&w, i);
+            w.run_steps(2);
+        }
+        store.gc_before(2);
+        let fp = w.checkpoint_process(Pid(1)).fingerprint();
+        assert_eq!(store.restore(&mut w, 0), None, "GC'd checkpoint restored");
+        assert_eq!(store.restore(&mut w, 1), None, "GC'd checkpoint restored");
+        assert_eq!(store.restore(&mut w, 7), None, "absent checkpoint restored");
+        assert_eq!(w.checkpoint_process(Pid(1)).fingerprint(), fp);
+        assert_eq!(store.len(), 3, "a refused restore truncates nothing");
+        assert_eq!(store.restore(&mut w, 2), Some(2));
     }
 
     #[test]

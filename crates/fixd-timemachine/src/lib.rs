@@ -11,7 +11,10 @@
 //! 1. *"Speculations use a copy-on-write mechanism to build lightweight,
 //!    incremental checkpoints of processes"* — [`page`] provides
 //!    reference-counted paged state images; consecutive checkpoints share
-//!    every unchanged page ([`checkpoint`]).
+//!    every unchanged page ([`checkpoint`]). A new checkpoint is paged
+//!    over the previous image: a page equal to the one at the same index
+//!    there shares its handle after a `memcmp`, and only changed pages
+//!    are hashed and interned by content.
 //! 2. *"Speculations allow applications to use a different execution path
 //!    upon rollback"* — [`speculation`] exposes commit/abort with the
 //!    abort outcome reported to the application, which can then steer

@@ -2,15 +2,17 @@
 //!
 //! A process state snapshot (an opaque byte image) is chunked into
 //! fixed-size pages interned in a shared [`PageStore`] keyed by a 64-bit
-//! content hash. Building checkpoint *k+1* from checkpoint *k* reuses
-//! every page whose content is unchanged — the user-level analogue of
-//! the kernel-level copy-on-write "shadow process" mechanism of
-//! Flashback and of the speculation checkpoints of \[6\], which
-//! experiment **F2** measures against eager full copies. Content
-//! addressing strengthens that beyond classic COW: identical pages
-//! deduplicate **across processes, across speculation branches, and
-//! across checkpoint generations**, not just between consecutive
-//! snapshots of one pid.
+//! content hash. Building checkpoint *k+1* over checkpoint *k*
+//! ([`PagedImage::from_bytes_over`]) reuses every page whose content is
+//! unchanged: an index-aligned compare against *k*'s page shares its
+//! handle without hashing, and only a changed page is interned by
+//! content. This is the user-level analogue of the kernel-level
+//! copy-on-write "shadow process" mechanism of Flashback and of the
+//! speculation checkpoints of \[6\], which experiment **F2** measures
+//! against eager full copies. Content addressing strengthens that
+//! beyond classic COW: identical pages deduplicate **across processes,
+//! across speculation branches, and across checkpoint generations**,
+//! not just between consecutive snapshots of one pid.
 //!
 //! The implementation lives in the bottom-layer `fixd-store` crate (the
 //! same store backs `Program::snapshot` images and spilled scroll

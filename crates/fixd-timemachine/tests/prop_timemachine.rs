@@ -2,10 +2,11 @@
 //! recovery-line safety, rollback determinism, speculation atomicity.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use fixd_runtime::{Context, Message, Pid, Program, World, WorldConfig};
 use fixd_timemachine::{
-    CheckpointPolicy, DepEdge, DependencyGraph, PageStore, PagedImage, TimeMachine,
+    CheckpointPolicy, DepEdge, DependencyGraph, PageStore, PagedImage, StoreStats, TimeMachine,
     TimeMachineConfig, NO_ROLLBACK,
 };
 
@@ -153,11 +154,55 @@ fn buf_setup(n: usize, seed: u64) -> (World, TimeMachine) {
     (w, tm)
 }
 
+/// The store counters a page build changes.
+fn counters(s: StoreStats) -> [u64; 5] {
+    [
+        s.hits,
+        s.misses,
+        s.deduped_bytes,
+        s.live_pages as u64,
+        s.live_bytes as u64,
+    ]
+}
+
+/// Take a checkpoint of `pid` and check that paging over the previous
+/// image changed nothing observable: the new image has the keys, build
+/// stats and store-counter deltas of a full content intern of the same
+/// bytes into the same store.
+fn take_matches_full_build(
+    tm: &mut TimeMachine,
+    w: &mut World,
+    pid: Pid,
+) -> Result<(), TestCaseError> {
+    let store = tm.page_store().clone();
+    let grown = |before: [u64; 5]| {
+        let after = counters(store.stats());
+        std::array::from_fn::<u64, 5, _>(|i| after[i] - before[i])
+    };
+    let bytes = w.checkpoint_process(pid).state.into_bytes();
+    let before = counters(store.stats());
+    let full = PagedImage::from_bytes_with(&store, &bytes, 64);
+    let full_delta = grown(before);
+    let full_keys: Vec<u64> = full.page_keys().collect();
+    let full_stats = full.build_stats();
+    // Dropping the full build returns the store to its prior contents.
+    drop(full);
+    let before = counters(store.stats());
+    let idx = tm.checkpoint_now(w, pid);
+    prop_assert_eq!(grown(before), full_delta);
+    let img = &tm.store(pid).get(idx).expect("just taken").image;
+    prop_assert_eq!(img.page_keys().collect::<Vec<_>>(), full_keys);
+    prop_assert_eq!(img.build_stats(), full_stats);
+    prop_assert_eq!(img.to_bytes(), bytes);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// GC accounting safety (the content-addressed-store law): under any
-    /// interleaving of checkpoint takes, `gc_before` passes, and
+    /// interleaving of checkpoint takes, `gc_before` passes (including
+    /// ones that tombstone a process's latest checkpoint), rollbacks, and
     /// speculation-branch clones/drops,
     ///
     /// 1. no page referenced by a live checkpoint (of the trunk OR a
@@ -165,11 +210,14 @@ proptest! {
     ///    positive store refcount and its checkpoint's content hash is
     ///    unchanged;
     /// 2. no page leaks — the store's `unique_bytes` equals the dedup'd
-    ///    footprint of exactly the live images.
+    ///    footprint of exactly the live images;
+    /// 3. a checkpoint taken over the previous image — after a plain
+    ///    take, a restore, or a GC of the latest checkpoint — is the
+    ///    image a full content intern of the same bytes would give.
     #[test]
     fn gc_never_reclaims_referenced_pages(
         seed in 0u64..500,
-        ops in proptest::collection::vec((0u8..5, 0u64..6), 1..12),
+        ops in proptest::collection::vec((0u8..7, 0u64..6), 1..12),
     ) {
         const N: usize = 3;
         let (mut w, mut tm) = buf_setup(N, seed);
@@ -182,7 +230,7 @@ proptest! {
                 }
                 1 => {
                     let pid = Pid((arg % N as u64) as u32);
-                    tm.checkpoint_now(&mut w, pid);
+                    take_matches_full_build(&mut tm, &mut w, pid)?;
                 }
                 2 => {
                     // Content hashes of the checkpoints that must survive.
@@ -214,8 +262,26 @@ proptest! {
                 3 => {
                     branch = Some(tm.clone());
                 }
-                _ => {
+                4 => {
                     branch = None;
+                }
+                5 => {
+                    // Collect all of one process's history, its latest
+                    // checkpoint included; the next take has no base.
+                    let pid = Pid((arg % N as u64) as u32);
+                    let mut stable = vec![NO_ROLLBACK; N];
+                    stable[pid.idx()] = tm.interval(pid) + 1;
+                    tm.gc(&stable);
+                    prop_assert!(!tm.store(pid).is_live(tm.interval(pid)));
+                    take_matches_full_build(&mut tm, &mut w, pid)?;
+                }
+                _ => {
+                    let pid = Pid((arg % N as u64) as u32);
+                    let target = tm.interval(pid).saturating_sub(arg);
+                    if tm.rollback(&mut w, pid, target).is_ok() {
+                        prop_assert_eq!(tm.store(pid).latest_index(), Some(target));
+                        take_matches_full_build(&mut tm, &mut w, pid)?;
+                    }
                 }
             }
             // Accounting invariant: the store holds exactly the pages of
