@@ -157,12 +157,18 @@ impl Fixd {
     /// Investigate an assembled checkpoint: explore execution paths and
     /// return the trails that lead to invariant violations (Fig. 3).
     pub fn investigate(&self, state: WorldState) -> ExploreReport<ModelAction> {
+        self.model_checker(state).run()
+    }
+
+    /// ModelD over an assembled checkpoint, under this supervisor's seed,
+    /// environment model, exploration config and monitors.
+    fn model_checker(&self, state: WorldState) -> ModelD {
         let mut md = ModelD::from_checkpoint(self.cfg.seed, self.cfg.net_model, state)
             .config(self.cfg.explore.clone());
         for m in &self.monitors {
             md = md.invariant(m.invariant());
         }
-        md.run()
+        md
     }
 
     /// The full detect→respond→investigate→report pipeline, starting from
@@ -173,18 +179,14 @@ impl Fixd {
         fault: DetectedFault,
     ) -> Result<BugReport, fixd_timemachine::recovery::RollbackError> {
         let outcome = self.respond(world, &fault)?;
+        let md = self.model_checker(outcome.state);
         let ckpt_fp = {
             // Fingerprint of the assembled checkpoint (via its model).
             use fixd_investigator::system::TransitionSystem;
-            let model = fixd_investigator::WorldModel::from_state(
-                self.cfg.seed,
-                self.cfg.net_model,
-                outcome.state.clone(),
-            );
-            let s = model.initial();
-            model.fingerprint(&s)
+            let model = md.model();
+            model.fingerprint(&model.initial())
         };
-        let explore = self.investigate(outcome.state);
+        let explore = md.run();
         let scroll_excerpt = match fault.pid {
             Some(pid) => ScrollQuery::new(&self.scroll.store().scroll(pid)).render(),
             None => String::new(),

@@ -12,11 +12,22 @@
 //! State = every process's real state + FIFO channel contents + pending
 //! timers. Actions = start a process, deliver the head of a channel, fire
 //! a timer, plus whatever fault branches the [`NetModel`] enables.
+//!
+//! States are copy-on-write. A successor shares every process and
+//! channel the transition left alone with its parent: only the acting
+//! process's program and harness are copied (and only while another state
+//! still holds them), taking a message off a channel advances a head
+//! index, and appending to a channel copies its live messages only when
+//! the buffer is shared. Fingerprints reuse cached hashes — one per
+//! process, refreshed after each of its handlers runs, and one per queued
+//! message, computed when it enters a channel — so fingerprinting a state
+//! snapshots no program and encodes no message.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use fixd_runtime::wire::{fnv1a, fnv_mix};
-use fixd_runtime::{Payload, Pid, Program, SharedMessage, SoloHarness, TimerId};
+use fixd_runtime::{Effects, Payload, Pid, Program, SharedMessage, SoloHarness, TimerId};
 
 use crate::envmodel::NetModel;
 use crate::system::TransitionSystem;
@@ -52,12 +63,88 @@ impl ModelAction {
     }
 }
 
+/// The messages of one channel buffer, each beside its
+/// [`fixd_runtime::Message::content_fingerprint`].
+#[derive(Clone, Default)]
+struct Queue {
+    msgs: Vec<SharedMessage>,
+    fps: Vec<u64>,
+}
+
+/// One FIFO channel: a message buffer shared with every state that has
+/// not changed the channel since, plus the index of the live head.
+/// `buf` is `None` exactly when the channel is empty; otherwise
+/// `head < buf.msgs.len()`.
+#[derive(Clone, Default)]
+struct Channel {
+    buf: Option<Arc<Queue>>,
+    head: usize,
+}
+
+impl Channel {
+    /// The queued messages, oldest first.
+    fn messages(&self) -> &[SharedMessage] {
+        match &self.buf {
+            Some(q) => &q.msgs[self.head..],
+            None => &[],
+        }
+    }
+
+    /// Their content fingerprints, in the same order.
+    fn fingerprints(&self) -> &[u64] {
+        match &self.buf {
+            Some(q) => &q.fps[self.head..],
+            None => &[],
+        }
+    }
+
+    /// Take the head message: advances the head, copies no buffer.
+    fn pop_front(&mut self) -> Option<SharedMessage> {
+        let q = self.buf.as_ref()?;
+        let msg = q.msgs[self.head].clone();
+        self.head += 1;
+        if self.head == q.msgs.len() {
+            *self = Channel::default();
+        }
+        Some(msg)
+    }
+
+    /// Append a message whose content fingerprint is `fp`. A buffer still
+    /// shared with another state is replaced by a private copy of its
+    /// live tail; a private one drops its consumed prefix in place.
+    fn push_back(&mut self, msg: SharedMessage, fp: u64) {
+        let head = std::mem::take(&mut self.head);
+        let buf = self.buf.get_or_insert_with(Default::default);
+        match Arc::get_mut(buf) {
+            Some(q) => {
+                q.msgs.drain(..head);
+                q.fps.drain(..head);
+            }
+            None => {
+                *buf = Arc::new(Queue {
+                    msgs: buf.msgs[head..].to_vec(),
+                    fps: buf.fps[head..].to_vec(),
+                })
+            }
+        }
+        let q = Arc::get_mut(buf).expect("buffer is private after the copy");
+        q.msgs.push(msg);
+        q.fps.push(fp);
+    }
+}
+
 /// Global state of the application under investigation.
+///
+/// Cloning shares every program, harness and channel buffer; [`WorldModel`]
+/// copies one only when a transition changes it.
+#[derive(Clone)]
 pub struct WorldState {
-    procs: Vec<Box<dyn Program>>,
-    harnesses: Vec<SoloHarness>,
+    procs: Vec<Arc<dyn Program>>,
+    harnesses: Vec<Arc<SoloHarness>>,
+    /// `fnv1a(procs[i].snapshot())`, refreshed after each handler run.
+    proc_fps: Vec<u64>,
     /// FIFO channels, indexed `src * width + dst`.
-    channels: Vec<VecDeque<SharedMessage>>,
+    channels: Vec<Channel>,
     /// Pending timers per process, oldest first.
     timers: Vec<VecDeque<TimerId>>,
     started: Vec<bool>,
@@ -68,34 +155,50 @@ pub struct WorldState {
     outputs: Vec<(Pid, Payload)>,
 }
 
-impl Clone for WorldState {
-    fn clone(&self) -> Self {
-        Self {
-            procs: self.procs.iter().map(|p| p.clone_program()).collect(),
-            harnesses: self.harnesses.clone(),
-            channels: self.channels.clone(),
-            timers: self.timers.clone(),
-            started: self.started.clone(),
-            crashed: self.crashed.clone(),
-            crashes_used: self.crashes_used,
-            outputs: self.outputs.clone(),
-        }
-    }
-}
-
 impl std::fmt::Debug for WorldState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "WorldState(n={}, mail={}, timers={})",
             self.procs.len(),
-            self.channels.iter().map(VecDeque::len).sum::<usize>(),
+            self.mail_count(),
             self.timers.iter().map(VecDeque::len).sum::<usize>()
         )
     }
 }
 
 impl WorldState {
+    /// A state of fresh or restored processes with the given channel
+    /// contents and pending timers.
+    fn build(
+        programs: Vec<Box<dyn Program>>,
+        harnesses: Vec<SoloHarness>,
+        inflight: Vec<SharedMessage>,
+        timers: Vec<(Pid, TimerId)>,
+        started: bool,
+    ) -> Self {
+        let n = programs.len();
+        assert_eq!(harnesses.len(), n);
+        let mut s = WorldState {
+            proc_fps: programs.iter().map(|p| fnv1a(&p.snapshot())).collect(),
+            procs: programs.into_iter().map(Arc::from).collect(),
+            harnesses: harnesses.into_iter().map(Arc::new).collect(),
+            channels: vec![Channel::default(); n * n],
+            timers: vec![VecDeque::new(); n],
+            started: vec![started; n],
+            crashed: vec![false; n],
+            crashes_used: 0,
+            outputs: Vec::new(),
+        };
+        for m in inflight {
+            s.enqueue(m);
+        }
+        for (pid, t) in timers {
+            s.timers[pid.idx()].push_back(t);
+        }
+        s
+    }
+
     /// Number of processes.
     pub fn width(&self) -> usize {
         self.procs.len()
@@ -106,14 +209,14 @@ impl WorldState {
         self.procs.get(pid.idx())?.as_any().downcast_ref::<P>()
     }
 
-    /// Messages queued on channel `src → dst`.
-    pub fn channel(&self, src: Pid, dst: Pid) -> &VecDeque<SharedMessage> {
-        &self.channels[src.idx() * self.procs.len() + dst.idx()]
+    /// Messages queued on channel `src → dst`, oldest first.
+    pub fn channel(&self, src: Pid, dst: Pid) -> &[SharedMessage] {
+        self.channels[self.channel_index(src, dst)].messages()
     }
 
     /// Total undelivered messages.
     pub fn mail_count(&self) -> usize {
-        self.channels.iter().map(VecDeque::len).sum()
+        self.channels.iter().map(|c| c.messages().len()).sum()
     }
 
     /// Has `pid` crashed (in this explored branch)?
@@ -134,6 +237,36 @@ impl WorldState {
     /// Pending timer count of `pid`.
     pub fn timer_count(&self, pid: Pid) -> usize {
         self.timers[pid.idx()].len()
+    }
+
+    fn channel_index(&self, src: Pid, dst: Pid) -> usize {
+        src.idx() * self.procs.len() + dst.idx()
+    }
+
+    /// Queue `m` on its channel, fingerprinting its content once.
+    fn enqueue(&mut self, m: SharedMessage) {
+        let idx = self.channel_index(m.src, m.dst);
+        let fp = m.content_fingerprint();
+        self.channels[idx].push_back(m, fp);
+    }
+
+    /// Run one handler of `pid` on a private copy of its program and
+    /// harness (copied only if another state shares them), then refresh
+    /// the process's cached snapshot hash.
+    fn run_handler(
+        &mut self,
+        pid: Pid,
+        call: impl FnOnce(&mut SoloHarness, &mut dyn Program) -> Effects,
+    ) -> Effects {
+        let i = pid.idx();
+        let slot = &mut self.procs[i];
+        if Arc::get_mut(slot).is_none() {
+            *slot = Arc::from(slot.clone_program());
+        }
+        let program = Arc::get_mut(slot).expect("program is private after the copy");
+        let eff = call(Arc::make_mut(&mut self.harnesses[i]), program);
+        self.proc_fps[i] = fnv1a(&program.snapshot());
+        eff
     }
 }
 
@@ -209,34 +342,15 @@ impl WorldModel {
         inflight: Vec<SharedMessage>,
         timers: Vec<(Pid, TimerId)>,
     ) -> WorldState {
-        let n = programs.len();
-        assert_eq!(harnesses.len(), n);
-        let mut channels = vec![VecDeque::new(); n * n];
-        for m in inflight {
-            let idx = m.src.idx() * n + m.dst.idx();
-            channels[idx].push_back(m);
-        }
-        let mut tq = vec![VecDeque::new(); n];
-        for (pid, t) in timers {
-            tq[pid.idx()].push_back(t);
-        }
-        WorldState {
-            procs: programs,
-            harnesses,
-            channels,
-            timers: tq,
-            started: vec![true; n], // restored processes are mid-run
-            crashed: vec![false; n],
-            crashes_used: 0,
-            outputs: Vec::new(),
-        }
+        // Restored processes are mid-run.
+        WorldState::build(programs, harnesses, inflight, timers, true)
     }
 
-    fn route_effects(&self, s: &mut WorldState, pid: Pid, effects: fixd_runtime::Effects) {
+    fn route_effects(&self, s: &mut WorldState, pid: Pid, effects: Effects) {
         let n = s.procs.len();
         for m in effects.sends {
             if m.dst.idx() < n {
-                s.channels[m.src.idx() * n + m.dst.idx()].push_back(m);
+                s.enqueue(m);
             }
         }
         for (t, _fire_at) in effects.timers_set {
@@ -265,31 +379,24 @@ impl TransitionSystem for WorldModel {
         }
         let procs = (self.factory)();
         let n = procs.len();
-        WorldState {
-            harnesses: (0..n)
-                .map(|i| SoloHarness::new(Pid(i as u32), n, self.seed))
-                .collect(),
-            procs,
-            channels: vec![VecDeque::new(); n * n],
-            timers: vec![VecDeque::new(); n],
-            started: vec![false; n],
-            crashed: vec![false; n],
-            crashes_used: 0,
-            outputs: Vec::new(),
-        }
+        let harnesses = (0..n)
+            .map(|i| SoloHarness::new(Pid(i as u32), n, self.seed))
+            .collect();
+        WorldState::build(procs, harnesses, Vec::new(), Vec::new(), false)
     }
 
     fn fingerprint(&self, s: &WorldState) -> u64 {
         let mut h = FINGERPRINT_SEED;
-        for (i, p) in s.procs.iter().enumerate() {
-            h = fnv_mix(h, fnv1a(&p.snapshot()));
+        for (i, &fp) in s.proc_fps.iter().enumerate() {
+            h = fnv_mix(h, fp);
             h = fnv_mix(h, u64::from(s.started[i]) | (u64::from(s.crashed[i]) << 1));
             h = fnv_mix(h, s.timers[i].len() as u64);
         }
         for ch in &s.channels {
-            h = fnv_mix(h, ch.len() as u64);
-            for m in ch {
-                h = fnv_mix(h, m.content_fingerprint());
+            let fps = ch.fingerprints();
+            h = fnv_mix(h, fps.len() as u64);
+            for &fp in fps {
+                h = fnv_mix(h, fp);
             }
         }
         if self.strict_fingerprint {
@@ -298,6 +405,7 @@ impl TransitionSystem for WorldModel {
                     h = fnv_mix(h, u64::from(p.0));
                     h = fnv_mix(h, c);
                 }
+                h = fnv_mix(h, hs.rng_draws());
             }
             for tq in &s.timers {
                 for t in tq {
@@ -320,7 +428,7 @@ impl TransitionSystem for WorldModel {
         for src in 0..n {
             for dst in 0..n {
                 let ch = &s.channels[src * n + dst];
-                if ch.is_empty() || s.crashed[dst] || !s.started[dst] {
+                if ch.messages().is_empty() || s.crashed[dst] || !s.started[dst] {
                     continue;
                 }
                 let (src, dst) = (Pid(src as u32), Pid(dst as u32));
@@ -350,44 +458,41 @@ impl TransitionSystem for WorldModel {
 
     fn apply(&self, s: &WorldState, l: &ModelAction) -> WorldState {
         let mut next = s.clone();
-        let n = next.procs.len();
-        match l {
+        match *l {
             ModelAction::Start { pid } => {
                 next.started[pid.idx()] = true;
-                let eff = {
-                    let (h, p) = (&mut next.harnesses[pid.idx()], &mut next.procs[pid.idx()]);
-                    h.start(p.as_mut())
-                };
-                self.route_effects(&mut next, *pid, eff);
+                let eff = next.run_handler(pid, |h, p| h.start(p));
+                self.route_effects(&mut next, pid, eff);
             }
             ModelAction::Deliver { src, dst } => {
-                let msg = next.channels[src.idx() * n + dst.idx()]
+                let idx = next.channel_index(src, dst);
+                let msg = next.channels[idx]
                     .pop_front()
                     .expect("guard ensured nonempty channel");
-                let eff = {
-                    let (h, p) = (&mut next.harnesses[dst.idx()], &mut next.procs[dst.idx()]);
-                    h.deliver(p.as_mut(), &msg)
-                };
-                self.route_effects(&mut next, *dst, eff);
+                let eff = next.run_handler(dst, |h, p| h.deliver(p, &msg));
+                self.route_effects(&mut next, dst, eff);
             }
             ModelAction::FireTimer { pid } => {
                 let t = next.timers[pid.idx()]
                     .pop_front()
                     .expect("guard ensured pending timer");
-                let eff = {
-                    let (h, p) = (&mut next.harnesses[pid.idx()], &mut next.procs[pid.idx()]);
-                    h.timer(p.as_mut(), t)
-                };
-                self.route_effects(&mut next, *pid, eff);
+                let eff = next.run_handler(pid, |h, p| h.timer(p, t));
+                self.route_effects(&mut next, pid, eff);
             }
             ModelAction::DropHead { src, dst } => {
-                next.channels[src.idx() * n + dst.idx()].pop_front();
+                let idx = next.channel_index(src, dst);
+                next.channels[idx].pop_front();
             }
             ModelAction::DupHead { src, dst } => {
-                let ch = &mut next.channels[src.idx() * n + dst.idx()];
-                if let Some(head) = ch.front().cloned() {
-                    ch.push_back(head);
-                }
+                let idx = next.channel_index(src, dst);
+                let ch = &mut next.channels[idx];
+                let head = ch
+                    .messages()
+                    .first()
+                    .cloned()
+                    .expect("guard ensured nonempty channel");
+                let fp = ch.fingerprints()[0];
+                ch.push_back(head, fp);
             }
             ModelAction::Crash { pid } => {
                 next.crashed[pid.idx()] = true;
@@ -658,5 +763,241 @@ mod tests {
         assert!(s.is_started(Pid(0)), "restored processes are mid-run");
         assert_eq!(s.channel(Pid(0), Pid(1)).len(), 1);
         assert_eq!(s.timer_count(Pid(0)), 1);
+    }
+
+    /// The from-scratch fingerprint the cached one must reproduce: every
+    /// program snapshotted and every queued message encoded anew.
+    fn reference_fingerprint(m: &WorldModel, s: &WorldState) -> u64 {
+        let n = s.width();
+        let mut h = FINGERPRINT_SEED;
+        for i in 0..n {
+            let pid = Pid(i as u32);
+            h = fnv_mix(h, fnv1a(&s.procs[i].snapshot()));
+            h = fnv_mix(
+                h,
+                u64::from(s.is_started(pid)) | (u64::from(s.is_crashed(pid)) << 1),
+            );
+            h = fnv_mix(h, s.timer_count(pid) as u64);
+        }
+        for src in 0..n {
+            for dst in 0..n {
+                let ch = s.channel(Pid(src as u32), Pid(dst as u32));
+                h = fnv_mix(h, ch.len() as u64);
+                for msg in ch {
+                    h = fnv_mix(h, msg.content_fingerprint());
+                }
+            }
+        }
+        if m.strict_fingerprint {
+            for hs in &s.harnesses {
+                for (p, c) in hs.vc().entries() {
+                    h = fnv_mix(h, u64::from(p.0));
+                    h = fnv_mix(h, c);
+                }
+                h = fnv_mix(h, hs.rng_draws());
+            }
+            for tq in &s.timers {
+                for t in tq {
+                    h = fnv_mix(h, t.0);
+                }
+            }
+        }
+        h
+    }
+
+    /// Everything a transition could wrongly change in a state it shares
+    /// buffers with: program snapshots, channel contents, timers, flags.
+    fn observe(m: &WorldModel, s: &WorldState) -> (u64, u64, Vec<Vec<u8>>, Vec<Vec<u64>>) {
+        let n = s.width();
+        let channels = (0..n * n)
+            .map(|c| {
+                s.channel(Pid((c / n) as u32), Pid((c % n) as u32))
+                    .iter()
+                    .map(|msg| msg.id)
+                    .collect()
+            })
+            .collect();
+        (
+            m.fingerprint(s),
+            reference_fingerprint(m, s),
+            s.procs.iter().map(|p| p.snapshot()).collect(),
+            channels,
+        )
+    }
+
+    /// Three processes with timers, ring sends, self-sends and RNG
+    /// draws: walks over it under an adversarial network take every
+    /// [`ModelAction`] kind and every channel-buffer path.
+    struct Gossip {
+        seen: u32,
+        sum: u64,
+        ticks: u8,
+    }
+    impl Program for Gossip {
+        fn on_start(&mut self, ctx: &mut Context) {
+            let n = ctx.world_size() as u32;
+            ctx.set_timer(5);
+            ctx.send(Pid((ctx.pid().0 + 1) % n), 1, vec![ctx.pid().0 as u8]);
+        }
+        fn on_message(&mut self, ctx: &mut Context, msg: &Message) {
+            let n = ctx.world_size() as u32;
+            self.seen += 1;
+            self.sum = self
+                .sum
+                .wrapping_mul(31)
+                .wrapping_add(u64::from(msg.payload[0]));
+            if self.seen < 4 {
+                let v = (self.sum % 251) as u8;
+                ctx.send(Pid((ctx.pid().0 + 1) % n), 1, vec![v]);
+            }
+            if self.seen.is_multiple_of(2) {
+                ctx.send(ctx.pid(), 2, vec![self.seen as u8]);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context, _t: TimerId) {
+            let n = ctx.world_size() as u32;
+            self.ticks += 1;
+            let coin = (ctx.random() & 1) as u8;
+            ctx.send(Pid((ctx.pid().0 + 2) % n), 3, vec![self.ticks, coin]);
+            if self.ticks < 2 {
+                ctx.set_timer(5);
+            }
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            let mut b = self.seen.to_le_bytes().to_vec();
+            b.extend_from_slice(&self.sum.to_le_bytes());
+            b.push(self.ticks);
+            b
+        }
+        fn restore(&mut self, b: &[u8]) {
+            self.seen = u32::from_le_bytes(b[0..4].try_into().unwrap());
+            self.sum = u64::from_le_bytes(b[4..12].try_into().unwrap());
+            self.ticks = b[12];
+        }
+        fn clone_program(&self) -> Box<dyn Program> {
+            Box::new(Gossip {
+                seen: self.seen,
+                sum: self.sum,
+                ticks: self.ticks,
+            })
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn gossip_model(strict: bool) -> WorldModel {
+        let mut m = WorldModel::new(11, NetModel::adversarial(1), || {
+            (0..3)
+                .map(|_| {
+                    Box::new(Gossip {
+                        seen: 0,
+                        sum: 0,
+                        ticks: 0,
+                    }) as Box<dyn Program>
+                })
+                .collect()
+        });
+        m.strict_fingerprint = strict;
+        m
+    }
+
+    fn kind(l: &ModelAction) -> usize {
+        match l {
+            ModelAction::Start { .. } => 0,
+            ModelAction::Deliver { .. } => 1,
+            ModelAction::FireTimer { .. } => 2,
+            ModelAction::DropHead { .. } => 3,
+            ModelAction::DupHead { .. } => 4,
+            ModelAction::Crash { .. } => 5,
+        }
+    }
+
+    #[test]
+    fn shared_states_keep_cached_fingerprints_and_stay_isolated() {
+        let mut kinds = [0usize; 6];
+        for strict in [false, true] {
+            let m = gossip_model(strict);
+            for walk in 0..40u64 {
+                let mut rng = fixd_runtime::DetRng::derive(walk, 0x57A7E);
+                let mut s = m.initial();
+                for _ in 0..30 {
+                    let acts = m.enabled(&s);
+                    if acts.is_empty() {
+                        break;
+                    }
+                    let before = observe(&m, &s);
+                    assert_eq!(before.0, before.1, "cached fingerprint drifted");
+                    let a = &acts[rng.below(acts.len() as u64) as usize];
+                    let b = &acts[rng.below(acts.len() as u64) as usize];
+                    // Two successors of one state, each stepped once more.
+                    let t1 = m.apply(&s, a);
+                    let seen1 = observe(&m, &t1);
+                    let t2 = m.apply(&s, b);
+                    let seen2 = observe(&m, &t2);
+                    for t in [&t1, &t2] {
+                        if let Some(l) = m.enabled(t).first() {
+                            let _ = m.apply(t, l);
+                        }
+                    }
+                    assert_eq!(observe(&m, &s), before, "apply changed its source");
+                    assert_eq!(observe(&m, &t1), seen1, "sibling leaked into successor");
+                    assert_eq!(observe(&m, &t2), seen2, "sibling leaked into successor");
+                    assert_eq!(seen1.0, seen1.1);
+                    assert_eq!(seen2.0, seen2.1);
+                    // A fresh successor matches the one that had siblings.
+                    assert_eq!(observe(&m, &m.apply(&s, a)), seen1);
+                    kinds[kind(a)] += 1;
+                    s = t1;
+                }
+            }
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "every action kind taken: {kinds:?}"
+        );
+    }
+
+    #[test]
+    fn strict_fingerprint_tells_rng_positions_apart() {
+        // A timer handler that draws but changes nothing else: the
+        // harness that ran it differs from a fresh one only in its RNG
+        // position (timers tick no clock).
+        struct Roll;
+        impl Program for Roll {
+            fn on_timer(&mut self, ctx: &mut Context, _t: TimerId) {
+                let _ = ctx.random();
+            }
+            fn snapshot(&self) -> Vec<u8> {
+                Vec::new()
+            }
+            fn restore(&mut self, _b: &[u8]) {}
+            fn clone_program(&self) -> Box<dyn Program> {
+                Box::new(Roll)
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let state = |draws: bool| {
+            let mut h = SoloHarness::new(Pid(0), 1, 5);
+            if draws {
+                let _ = h.timer(&mut Roll, TimerId(1));
+            }
+            WorldModel::assemble_state(vec![Box::new(Roll)], vec![h], Vec::new(), Vec::new())
+        };
+        let (fresh, rolled) = (state(false), state(true));
+        assert_eq!(rolled.harnesses[0].rng_draws(), 1);
+        assert_eq!(rolled.harnesses[0].vc(), fresh.harnesses[0].vc());
+        let mut m = model(NetModel::reliable());
+        assert_eq!(m.fingerprint(&fresh), m.fingerprint(&rolled));
+        m.strict_fingerprint = true;
+        assert_ne!(m.fingerprint(&fresh), m.fingerprint(&rolled));
     }
 }

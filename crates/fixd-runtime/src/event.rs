@@ -57,13 +57,37 @@ pub struct Message {
 impl Message {
     /// Stable content fingerprint (ignores `id` and timing, so replayed or
     /// re-executed sends of the same logical message match).
+    ///
+    /// The FNV-1a hash of the varint-encoded `src`, `dst`, `tag` and
+    /// length-prefixed payload, streamed without building the encoding.
     pub fn content_fingerprint(&self) -> u64 {
-        let mut buf = Vec::with_capacity(self.payload.len() + 16);
-        wire::put_varint(&mut buf, u64::from(self.src.0));
-        wire::put_varint(&mut buf, u64::from(self.dst.0));
-        wire::put_varint(&mut buf, u64::from(self.tag));
-        wire::put_bytes(&mut buf, &self.payload);
-        wire::fnv1a(&buf)
+        let mut h = wire::fnv1a(&[]);
+        for v in [
+            u64::from(self.src.0),
+            u64::from(self.dst.0),
+            u64::from(self.tag),
+            self.payload.len() as u64,
+        ] {
+            h = fnv1a_varint(h, v);
+        }
+        fixd_store::fnv1a_extend(h, &self.payload)
+    }
+}
+
+/// Continue an FNV-1a hash over the LEB128 encoding of `v` (the bytes
+/// [`wire::put_varint`] would write).
+fn fnv1a_varint(h: u64, mut v: u64) -> u64 {
+    let mut enc = [0u8; 10];
+    let mut n = 0;
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            enc[n] = byte;
+            return fixd_store::fnv1a_extend(h, &enc[..=n]);
+        }
+        enc[n] = byte | 0x80;
+        n += 1;
     }
 }
 
@@ -366,6 +390,28 @@ mod tests {
         let mut c = a.clone();
         c.payload = b"y".into();
         assert_ne!(a.content_fingerprint(), c.content_fingerprint());
+    }
+
+    #[test]
+    fn content_fingerprint_matches_encode_then_hash() {
+        // The form the streamed fingerprint replaced: encode, then hash.
+        fn encoded(m: &Message) -> u64 {
+            let mut buf = Vec::new();
+            wire::put_varint(&mut buf, u64::from(m.src.0));
+            wire::put_varint(&mut buf, u64::from(m.dst.0));
+            wire::put_varint(&mut buf, u64::from(m.tag));
+            wire::put_bytes(&mut buf, &m.payload);
+            wire::fnv1a(&buf)
+        }
+        for id in [0u32, 1, 127, 128, 300, 16_384, u32::MAX] {
+            for tag in [0u16, 127, 128, u16::MAX] {
+                for len in [0usize, 1, 127, 128, 16_384] {
+                    let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+                    let m = msg(id, id.wrapping_add(1), tag, &payload);
+                    assert_eq!(m.content_fingerprint(), encoded(&m), "{id}/{tag}/{len}");
+                }
+            }
+        }
     }
 
     #[test]

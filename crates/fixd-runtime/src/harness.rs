@@ -58,6 +58,12 @@ impl SoloHarness {
         &self.vc
     }
 
+    /// How many values the simulated process has drawn from its RNG
+    /// stream (its position in the stream).
+    pub fn rng_draws(&self) -> u64 {
+        self.rng.draw_count()
+    }
+
     /// Restore harness clocks/RNG from a checkpoint-like tuple (used when
     /// replay starts mid-run from a Time Machine checkpoint).
     pub fn restore_context(&mut self, vc: VectorClock, lamport: u64, rng: DetRng) {
